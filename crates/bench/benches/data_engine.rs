@@ -27,6 +27,22 @@ fn filters(c: &mut Criterion) {
             |b, t| b.iter(|| chain.eval(black_box(t)).unwrap()),
         );
     }
+    // Paper scale, on the leaf shapes of the `scan_1m` benchmark probes:
+    // an int64 brush and a two-value dictionary `In`.
+    let rows = 1_000_000usize;
+    let table = CensusGenerator::new(1).generate(rows);
+    group.throughput(Throughput::Elements(rows as u64));
+    let brush = Predicate::between("age", 31.5, 52.25);
+    group.bench_with_input(BenchmarkId::new("int_between", rows), &table, |b, t| {
+        b.iter(|| brush.eval(black_box(t)).unwrap())
+    });
+    let two = Predicate::In {
+        column: "education".into(),
+        values: vec![Value::from("HS"), Value::from("Master")],
+    };
+    group.bench_with_input(BenchmarkId::new("dictionary_in_2", rows), &table, |b, t| {
+        b.iter(|| two.eval(black_box(t)).unwrap())
+    });
     group.finish();
 }
 

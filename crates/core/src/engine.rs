@@ -17,11 +17,11 @@
 use crate::hypothesis::{NullSpec, ShiftMethod};
 use crate::Result;
 use aware_data::bitmap::Bitmap;
-use aware_data::cache::EvalCache;
+use aware_data::cache::{ColumnInvariants, EvalCache};
 use aware_data::column::ColumnType;
 use aware_data::hist::{
-    categorical_histogram, contingency_rows, histogram, numeric_histogram_with_bounds, Histogram,
-    DEFAULT_NUMERIC_BINS,
+    categorical_histogram, contingency_rows, histogram, numeric_bounds,
+    numeric_histogram_with_bounds, Histogram, DEFAULT_NUMERIC_BINS,
 };
 use aware_data::predicate::Predicate;
 use aware_data::table::Table;
@@ -70,13 +70,13 @@ pub fn execute(table: &Table, spec: &NullSpec, cache: Option<&EvalCache>) -> Res
             let outcome = match cache {
                 Some(c) => {
                     let inv = c.invariants(table, attribute)?;
-                    let filtered = select_histogram(table, attribute, &selection, inv.bounds)?;
+                    let filtered = inv.selection_histogram(table, &selection)?;
                     chi_square_gof(&filtered.counts(), &inv.proportions)?
                 }
                 None => {
                     let global = histogram(table, attribute, None)?;
-                    let bounds = histogram_bounds(table, attribute, cache)?;
-                    let filtered = select_histogram(table, attribute, &selection, bounds)?;
+                    let filtered = Buckets::resolve(table, attribute, None)?
+                        .of(table, attribute, &selection)?;
                     chi_square_gof(&filtered.counts(), &global.proportions())?
                 }
             };
@@ -92,10 +92,10 @@ pub fn execute(table: &Table, spec: &NullSpec, cache: Option<&EvalCache>) -> Res
         } => {
             let sel_a = eval_selection(table, filter_a, cache)?;
             let sel_b = eval_selection(table, filter_b, cache)?;
-            // Bin bounds are resolved once for both selections.
-            let bounds = histogram_bounds(table, attribute, cache)?;
-            let hist_a = select_histogram(table, attribute, &sel_a, bounds)?;
-            let hist_b = select_histogram(table, attribute, &sel_b, bounds)?;
+            // The bucketing is resolved once for both selections.
+            let buckets = Buckets::resolve(table, attribute, cache)?;
+            let hist_a = buckets.of(table, attribute, &sel_a)?;
+            let hist_b = buckets.of(table, attribute, &sel_b)?;
             let rows = contingency_rows(&hist_a, &hist_b)?;
             let outcome = if let Some(square) = as_sparse_2x2(&hist_a, &hist_b) {
                 fisher_exact(square)?
@@ -216,46 +216,44 @@ fn as_sparse_2x2(a: &Histogram, b: &Histogram) -> Option<[[u64; 2]; 2]> {
     (min_expected < FISHER_EXPECTED_THRESHOLD).then_some(square)
 }
 
-/// Resolves the fixed bin bounds a numeric attribute's histograms share
-/// (`None` for categorical/bool attributes): one cache probe — or one
-/// min/max scan, cold — reused for every selection of the same test.
-fn histogram_bounds(
-    table: &Table,
-    attribute: &str,
-    cache: Option<&EvalCache>,
-) -> Result<Option<(f64, f64)>> {
-    match table.column_type(attribute)? {
-        ColumnType::Int64 | ColumnType::Float64 => match cache {
-            Some(c) => Ok(Some(
-                c.invariants(table, attribute)?
-                    .bounds
-                    .expect("numeric column has bounds"),
-            )),
-            None => Ok(Some(aware_data::hist::numeric_bounds(table, attribute)?)),
-        },
-        _ => Ok(None),
-    }
+/// How an attribute's histograms are bucketed, resolved once and reused
+/// for every selection of the same test.
+enum Buckets {
+    /// The cache's memoized invariants: a selection covering more than
+    /// half the rows subtracts its complement from the full-column
+    /// counts instead of recounting them.
+    Cached(Arc<ColumnInvariants>),
+    /// Cold: the numeric bin bounds from one min/max scan (`None` for
+    /// categorical/bool attributes).
+    Cold(Option<(f64, f64)>),
 }
 
-/// Histogram of an attribute over a selection, with pre-resolved bounds
-/// (`Some` ⇔ numeric attribute, from [`histogram_bounds`]).
-fn select_histogram(
-    table: &Table,
-    attribute: &str,
-    selection: &Bitmap,
-    bounds: Option<(f64, f64)>,
-) -> Result<Histogram> {
-    let h = match bounds {
-        Some(b) => numeric_histogram_with_bounds(
-            table,
-            attribute,
-            Some(selection),
-            DEFAULT_NUMERIC_BINS,
-            b,
-        )?,
-        None => categorical_histogram(table, attribute, Some(selection))?,
-    };
-    Ok(h)
+impl Buckets {
+    fn resolve(table: &Table, attribute: &str, cache: Option<&EvalCache>) -> Result<Buckets> {
+        if let Some(c) = cache {
+            return Ok(Buckets::Cached(c.invariants(table, attribute)?));
+        }
+        Ok(Buckets::Cold(match table.column_type(attribute)? {
+            ColumnType::Int64 | ColumnType::Float64 => Some(numeric_bounds(table, attribute)?),
+            _ => None,
+        }))
+    }
+
+    /// The attribute's histogram over `selection`.
+    fn of(&self, table: &Table, attribute: &str, selection: &Bitmap) -> Result<Histogram> {
+        let h = match self {
+            Buckets::Cached(inv) => inv.selection_histogram(table, selection)?,
+            Buckets::Cold(Some(bounds)) => numeric_histogram_with_bounds(
+                table,
+                attribute,
+                Some(selection),
+                DEFAULT_NUMERIC_BINS,
+                *bounds,
+            )?,
+            Buckets::Cold(None) => categorical_histogram(table, attribute, Some(selection))?,
+        };
+        Ok(h)
+    }
 }
 
 /// Rows covered by either selection: `|A| + |B| − |A ∩ B|`, with the
@@ -555,6 +553,8 @@ mod tests {
             .clone()
             .and(Predicate::eq("sex", "Male"))
             .and(Predicate::between("age", 25.0, 55.0));
+        let majority = Predicate::eq("salary_over_50k", false);
+        assert!(2 * majority.eval(&t).unwrap().count_ones() > t.rows());
         let specs = vec![
             NullSpec::NoFilterEffect {
                 attribute: "education".into(),
@@ -563,6 +563,16 @@ mod tests {
             NullSpec::NoFilterEffect {
                 attribute: "age".into(),
                 filter: f.clone(),
+            },
+            // Majority selections: the cached path subtracts the
+            // complement from the memoized full-column counts.
+            NullSpec::NoFilterEffect {
+                attribute: "education".into(),
+                filter: majority.clone(),
+            },
+            NullSpec::NoFilterEffect {
+                attribute: "age".into(),
+                filter: majority.clone(),
             },
             NullSpec::NoDistributionDifference {
                 attribute: "age".into(),

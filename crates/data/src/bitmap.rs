@@ -41,8 +41,10 @@ impl Bitmap {
     /// rows per word with no `Vec<bool>` intermediate — the bulk
     /// constructor behind [`Bitmap::from_bools`]. (The predicate kernels
     /// use a slice-specialized sibling of this loop, `pack` in
-    /// `predicate.rs`, whose `chunks(64)` inner loop elides bounds
-    /// checks; use `from_fn` when there is no backing slice to chunk.)
+    /// `predicate.rs`: it walks `chunks_exact(64)` and builds each word a
+    /// byte of 8 rows at a time with no bounds checks, packing the ragged
+    /// tail separately, so simple compares vectorize; use `from_fn` when
+    /// there is no backing slice to chunk.)
     pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> bool) -> Bitmap {
         let mut words = Vec::with_capacity(len.div_ceil(64));
         let mut i = 0;

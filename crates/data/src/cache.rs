@@ -38,8 +38,8 @@ use crate::bitmap::Bitmap;
 use crate::column::ColumnType;
 use crate::hash::fnv1a;
 use crate::hist::{
-    categorical_histogram, numeric_bounds, numeric_histogram_with_bounds, Histogram,
-    DEFAULT_NUMERIC_BINS,
+    categorical_histogram, categorical_histogram_from, numeric_bounds, numeric_histogram_from,
+    numeric_histogram_with_bounds, Histogram, DEFAULT_NUMERIC_BINS,
 };
 use crate::predicate::Predicate;
 use crate::table::Table;
@@ -240,6 +240,28 @@ pub struct ColumnInvariants {
     /// Full-column `(min, max)` for numeric columns (bin edges derive
     /// from it); `None` for categorical/bool columns.
     pub bounds: Option<(f64, f64)>,
+}
+
+impl ColumnInvariants {
+    /// The attribute's histogram over `selection`, bucketed exactly like
+    /// [`ColumnInvariants::histogram`]. A selection covering more than
+    /// half the rows walks only its complement and subtracts it from the
+    /// memoized full-column counts, so no branch rescans the column.
+    pub fn selection_histogram(&self, table: &Table, selection: &Bitmap) -> Result<Histogram> {
+        let column = &self.histogram.column;
+        let full = self.histogram.counts();
+        match self.bounds {
+            Some(bounds) => numeric_histogram_from(
+                table,
+                column,
+                Some(selection),
+                DEFAULT_NUMERIC_BINS,
+                bounds,
+                Some(&full),
+            ),
+            None => categorical_histogram_from(table, column, Some(selection), Some(&full)),
+        }
+    }
 }
 
 /// Point-in-time cache counters, surfaced through the serving layer's
@@ -663,6 +685,36 @@ mod tests {
         // Errors are not cached.
         assert!(cache.invariants(&t, "ghost").is_err());
         assert_eq!(cache.stats().invariants, 2);
+    }
+
+    #[test]
+    fn selection_histograms_match_cold_counting() {
+        let t = demo();
+        let cache = EvalCache::new();
+        // Minority, majority (complement-and-subtract), empty and full.
+        let selections = [
+            Bitmap::from_indices(8, &[1, 4]),
+            Bitmap::from_indices(8, &[0, 1, 2, 3, 5, 6, 7]),
+            Bitmap::zeros(8),
+            Bitmap::ones(8),
+        ];
+        for sel in &selections {
+            let age = cache.invariants(&t, "age").unwrap();
+            assert_eq!(
+                age.selection_histogram(&t, sel).unwrap(),
+                numeric_histogram(&t, "age", Some(sel), DEFAULT_NUMERIC_BINS).unwrap()
+            );
+            for col in ["edu", "rich"] {
+                let inv = cache.invariants(&t, col).unwrap();
+                assert_eq!(
+                    inv.selection_histogram(&t, sel).unwrap(),
+                    categorical_histogram(&t, col, Some(sel)).unwrap()
+                );
+            }
+        }
+        // A selection over a different row count is rejected, not miscounted.
+        let age = cache.invariants(&t, "age").unwrap();
+        assert!(age.selection_histogram(&t, &Bitmap::ones(9)).is_err());
     }
 
     #[test]

@@ -79,31 +79,42 @@ pub const DEFAULT_NUMERIC_BINS: usize = 10;
 /// * selection covering ≤ ½ the rows → walk set bits per word;
 /// * selection covering > ½ the rows → count the *complement* against the
 ///   full-column counts and subtract — the walked bit count is always
-///   min(|sel|, n−|sel|).
+///   min(|sel|, n−|sel|). `full`, when given, is those full-column counts
+///   already known (memoized by the evaluation cache), so this case never
+///   rescans the column; without it they are recounted.
 pub(crate) fn count_selected(
     rows: usize,
     buckets: usize,
     selection: Option<&Bitmap>,
+    full: Option<&[u64]>,
     bucket_of: impl Fn(usize) -> usize,
 ) -> Vec<u64> {
-    let mut counts = vec![0u64; buckets];
-    match selection {
-        None => {
-            for i in 0..rows {
-                counts[bucket_of(i)] += 1;
-            }
+    let count_all = || {
+        let mut counts = vec![0u64; buckets];
+        for i in 0..rows {
+            counts[bucket_of(i)] += 1;
         }
+        counts
+    };
+    match selection {
+        None => count_all(),
         Some(sel) if 2 * sel.count_ones() > rows => {
-            for i in 0..rows {
-                counts[bucket_of(i)] += 1;
-            }
+            let mut counts = match full {
+                Some(full) => {
+                    debug_assert_eq!(full.len(), buckets, "full counts over other buckets");
+                    full.to_vec()
+                }
+                None => count_all(),
+            };
             sel.for_each_clear(|i| counts[bucket_of(i)] -= 1);
+            counts
         }
         Some(sel) => {
+            let mut counts = vec![0u64; buckets];
             sel.for_each_set(|i| counts[bucket_of(i)] += 1);
+            counts
         }
     }
-    counts
 }
 
 /// Computes the histogram of `column` over `selection` (or all rows).
@@ -125,14 +136,26 @@ pub fn categorical_histogram(
     column: &str,
     selection: Option<&Bitmap>,
 ) -> Result<Histogram> {
+    categorical_histogram_from(table, column, selection, None)
+}
+
+/// [`categorical_histogram`], given the column's unfiltered counts when
+/// they are known (see [`count_selected`]).
+pub(crate) fn categorical_histogram_from(
+    table: &Table,
+    column: &str,
+    selection: Option<&Bitmap>,
+    full: Option<&[u64]>,
+) -> Result<Histogram> {
     if let Some(sel) = selection {
         table.check_selection(sel)?;
     }
     let col = table.column(column)?;
     match col {
         Column::Categorical { labels, codes } => {
-            let counts =
-                count_selected(codes.len(), labels.len(), selection, |i| codes[i] as usize);
+            let counts = count_selected(codes.len(), labels.len(), selection, full, |i| {
+                codes[i] as usize
+            });
             Ok(Histogram {
                 column: column.to_owned(),
                 buckets: labels
@@ -146,7 +169,7 @@ pub fn categorical_histogram(
             })
         }
         Column::Bool(values) => {
-            let counts = count_selected(values.len(), 2, selection, |i| values[i] as usize);
+            let counts = count_selected(values.len(), 2, selection, full, |i| values[i] as usize);
             Ok(Histogram {
                 column: column.to_owned(),
                 buckets: vec![
@@ -226,7 +249,21 @@ pub fn numeric_histogram_with_bounds(
     column: &str,
     selection: Option<&Bitmap>,
     bins: usize,
+    bounds: (f64, f64),
+) -> Result<Histogram> {
+    numeric_histogram_from(table, column, selection, bins, bounds, None)
+}
+
+/// [`numeric_histogram_with_bounds`], given the column's unfiltered
+/// counts under the same bins when they are known (see
+/// [`count_selected`]).
+pub(crate) fn numeric_histogram_from(
+    table: &Table,
+    column: &str,
+    selection: Option<&Bitmap>,
+    bins: usize,
     (min, max): (f64, f64),
+    full: Option<&[u64]>,
 ) -> Result<Histogram> {
     if bins == 0 {
         return Err(DataError::InvalidArgument {
@@ -251,8 +288,8 @@ pub fn numeric_histogram_with_bounds(
     };
     let bin_of = |v: f64| -> usize { (((v - min) / width) as usize).min(bins - 1) };
     let counts = match col {
-        Column::Int64(v) => count_selected(n, bins, selection, |i| bin_of(v[i] as f64)),
-        Column::Float64(v) => count_selected(n, bins, selection, |i| bin_of(v[i])),
+        Column::Int64(v) => count_selected(n, bins, selection, full, |i| bin_of(v[i] as f64)),
+        Column::Float64(v) => count_selected(n, bins, selection, full, |i| bin_of(v[i])),
         other => {
             return Err(DataError::TypeMismatch {
                 column: column.to_owned(),
